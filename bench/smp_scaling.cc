@@ -1,13 +1,15 @@
-// SMP scaling microbenchmark: how the sharded metapool runtime behaves when
+// SMP scaling microbenchmark: how the shared metapool runtime behaves when
 // run-time checks arrive from many virtual CPUs at once.
 //
 // Four phases:
 //   1. Check throughput on one SHARED MetaPoolRuntime at 1/2/4/8 worker
 //      threads (checks/sec, ns/check, measured speedup, and the measured
 //      lock-free fraction — the share of lookups absorbed by the per-thread
-//      cache without touching a stripe lock).
-//   2. The same with a register/drop mutation mix, exercising the stripe
-//      locks and generation invalidation under contention.
+//      cache without touching the pool lock). Workers start together on a
+//      latch and time themselves, so thread spawn and join are off the
+//      clock.
+//   2. The same with a register/drop mutation mix, exercising the pool
+//      lock and generation invalidation under contention.
 //   3. The minikernel syscall driver at 1/2/4/8 workers running a mixed
 //      tasks+vfs workload — since the big-kernel-lock split (PRs 3-5) this
 //      phase scales with workers too: syscalls dispatch onto per-subsystem
@@ -31,11 +33,14 @@
 // configuration timeshares one CPU and measured speedup stays ~1x, so the
 // bench also reports the Amdahl projection derived from the measured
 // lock-free fraction p: projected speedup at N threads = 1 / ((1-p) + p/N).
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -70,8 +75,8 @@ std::vector<unsigned> ThreadCounts() {
   return counts;
 }
 
-// Per-thread address region: disjoint windows so worker working sets land on
-// different stripes, the way per-CPU slabs do in a real kernel.
+// Per-thread address region: disjoint windows, the way per-CPU slabs keep
+// working sets apart in a real kernel.
 uint64_t ObjectBase(unsigned thread, uint64_t index) {
   return 0x100000000ull + (static_cast<uint64_t>(thread) << 24) +
          index * 0x1000;
@@ -101,10 +106,16 @@ ScalingSample RunScaling(unsigned threads, bool mutate) {
   rt.ResetStats();
   pool->ResetStats();
 
+  using Clock = std::chrono::steady_clock;
   std::atomic<uint64_t> failures{0};
+  std::latch start_line(threads);
+  std::vector<Clock::time_point> began(threads);
+  std::vector<Clock::time_point> finished(threads);
   auto worker = [&](unsigned t) {
     smp::ScopedCpu bind(t);
     uint64_t scratch_base = ObjectBase(t, kObjectsPerThread + 8);
+    start_line.arrive_and_wait();
+    began[t] = Clock::now();
     for (uint64_t i = 0; i < g_checks_per_thread; ++i) {
       // Copy-loop-shaped stream: kObjectSize consecutive checks against one
       // object before moving to the next, the access skew the per-thread
@@ -121,23 +132,27 @@ ScalingSample RunScaling(unsigned threads, bool mutate) {
         (void)rt.DropObject(*pool, scratch_base);
       }
     }
+    finished[t] = Clock::now();
   };
 
-  double us = TimeOnceUs([&] {
-    std::vector<std::thread> pool_workers;
-    pool_workers.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-      pool_workers.emplace_back(worker, t);
-    }
-    for (std::thread& w : pool_workers) {
-      w.join();
-    }
-  });
+  std::vector<std::thread> pool_workers;
+  pool_workers.reserve(threads);
+  for (unsigned t = 0; t < threads; ++t) {
+    pool_workers.emplace_back(worker, t);
+  }
+  for (std::thread& w : pool_workers) {
+    w.join();
+  }
 
   const runtime::CheckStats& stats = rt.stats();
   ScalingSample sample;
   sample.threads = threads;
-  sample.seconds = us / 1e6;
+  // Wall time of the parallel section: first worker off the line to last
+  // worker done.
+  sample.seconds = std::chrono::duration<double>(
+                       *std::max_element(finished.begin(), finished.end()) -
+                       *std::min_element(began.begin(), began.end()))
+                       .count();
   sample.checks = stats.total_performed();
   uint64_t lookups = stats.cache_hits + stats.cache_misses;
   sample.lock_free_fraction =
@@ -328,7 +343,7 @@ void DetectionParityPhase() {
 }
 
 void Run() {
-  std::printf("SMP scaling: sharded metapool runtime under concurrent "
+  std::printf("SMP scaling: shared metapool runtime under concurrent "
               "checks\n");
   std::printf("Host hardware threads: %u\n\n",
               std::thread::hardware_concurrency());
@@ -340,7 +355,7 @@ void Run() {
   DetectionParityPhase();
   std::printf(
       "The lock-free column is the measured fraction of lookups served by "
-      "the\nper-thread cache with no stripe lock taken; on hosts with fewer "
+      "the\nper-thread cache with no pool lock taken; on hosts with fewer "
       "hardware\nthreads than workers, measured speedup is capped by the "
       "hardware and the\nAmdahl column is the projection at full "
       "parallelism.\n");

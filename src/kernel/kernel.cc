@@ -541,7 +541,7 @@ Status Kernel::ReadUserPath(Task& task, uint64_t path_uaddr,
                             std::string* out) {
   // Byte-wise NUL-terminated user-string copy with no kernel staging
   // buffer: the lock-free SysStat path must not touch the allocators (their
-  // stripe locks are cheap, but the point of the fast path is zero shared
+  // locks are cheap, but the point of the fast path is zero shared
   // writes).
   out->clear();
   for (uint64_t i = 0; i < kMaxPathLength; ++i) {
@@ -978,7 +978,7 @@ Result<OpenFile*> Kernel::FileForFd(Task& task, uint64_t fd) {
   // OpenFile itself — outlives this lookup even when writers concurrently
   // close the fd, grow the table, or retire the file. The acquire loads
   // pair with the writers' release publishes; the bounds check below takes
-  // only metapool stripe locks (external classes, never kernel ranks).
+  // only metapool pool locks (external classes, never kernel ranks).
   FdTable* table = task.fds.load_acquire();
   if (table == nullptr || fd >= table->capacity) {
     return SafetyViolation(StrCat("fd ", fd, " out of range"));
@@ -1233,7 +1233,7 @@ Result<uint64_t> Kernel::SysRead(uint64_t fd, uint64_t uaddr, uint64_t len) {
   }
   // Regular-file read: inode data, size, and the fd offset live under
   // vfs_lock_. The copy loops below take only external lock classes
-  // (metapool stripes, allocator locks), which rank below every kernel
+  // (metapool pool locks, allocator locks), which rank below every kernel
   // lock.
   trace::TimedLockGuard<smp::OrderedSpinLock> vfs_guard(
       vfs_lock_, trace::HistId::kVfsWaitNs, trace::kLockVfs);

@@ -560,7 +560,7 @@ class Kernel {
   // forbidden, so COW fork clones in two sequential critical sections
   // (parent lock, then child lock), never nested.
   //
-  // External lock classes (metapool stripe locks, allocator locks, the net
+  // External lock classes (metapool pool locks, allocator locks, the net
   // stack's locks) sit BELOW all kernel ranks: they are taken under any of
   // these — e.g. BoundsCheckObject under files_lock_ on the fd fast path,
   // copy loops under vfs_lock_/pipes_lock_ — and never call back into
@@ -586,7 +586,7 @@ class Kernel {
   // queues. The net stack's sockets never touch this.
   mutable smp::OrderedSpinLock sockets_lock_{smp::LockRank::kSockets};
   // Guards the pipes_ vector and every Pipe's ring state. The copy loops
-  // under it take metapool stripe and allocator locks (external classes,
+  // under it take metapool pool and allocator locks (external classes,
   // see above).
   mutable smp::OrderedSpinLock pipes_lock_{smp::LockRank::kPipes};
   // Guards the event-queue table (evqs_) and the sid -> watching-queues

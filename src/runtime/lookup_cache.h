@@ -13,10 +13,10 @@
 //  * Only ranges that are live in the tree may be cached (positive hits
 //    only; negative results are never cached, so insertions need no
 //    invalidation — a new object cannot overlap any cached live range).
-//  * Every removal path must invalidate precisely: RemoveAt() invalidates
-//    the entry with the removed start; Clear() resets the cache.
-//  * A dropped-then-reregistered object at the same address must never
-//    serve stale bounds; InvalidateStart() on the drop guarantees this.
+//  * The cache itself knows nothing of removals. Its owner (MetaPool's
+//    per-thread slot) tags it with the pool generation and Reset()s it
+//    when the generation moves, so a dropped or dropped-then-reregistered
+//    object never serves stale bounds.
 #ifndef SVA_SRC_RUNTIME_LOOKUP_CACHE_H_
 #define SVA_SRC_RUNTIME_LOOKUP_CACHE_H_
 
@@ -45,8 +45,7 @@ class LookupCacheT {
   }
 
   // Records a range that was just found live in the tree. An entry with the
-  // same start is overwritten in place (re-registration at the same address
-  // after an invalidation); otherwise round-robin replacement.
+  // same start is overwritten in place; otherwise round-robin replacement.
   void Remember(const Range& range) {
     for (size_t i = 0; i < kWays; ++i) {
       if (valid_[i] && entries_[i].start == range.start) {
@@ -59,16 +58,7 @@ class LookupCacheT {
     victim_ = (victim_ + 1) % kWays;
   }
 
-  // Drops the entry whose range starts at `start` (object removal).
-  void InvalidateStart(uint64_t start) {
-    for (size_t i = 0; i < kWays; ++i) {
-      if (valid_[i] && entries_[i].start == start) {
-        valid_[i] = false;
-      }
-    }
-  }
-
-  // Drops everything (tree cleared or cache disabled).
+  // Drops everything (pool generation moved or cache toggled).
   void Reset() {
     valid_.fill(false);
     victim_ = 0;

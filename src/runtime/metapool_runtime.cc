@@ -1,9 +1,9 @@
 #include "src/runtime/metapool_runtime.h"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
-#include "src/smp/epoch.h"
 #include "src/support/strings.h"
 #include "src/trace/trace.h"
 
@@ -32,18 +32,14 @@ namespace {
 // Each thread keeps a small table of per-pool caches keyed by the pool's
 // globally unique cache id (direct-mapped; a collision merely evicts, a
 // perf event, never a correctness one). An entry records the pool
-// generation observed before the locked tree lookup that produced it; the
-// probe re-reads the pool's generation and refuses any older entry. Since a
-// drop bumps the generation only after the removal leaves the tree, an
-// entry describing a dropped object is always generation-stale by the time
-// the drop returns — no locks on the hit path.
+// generation observed before the locked tree lookup that produced it; every
+// probe re-reads the pool's generation (acquire) and refuses any older
+// entry. Since a drop bumps the generation only after the removal leaves
+// the tree, an entry describing a dropped object is generation-stale on
+// every thread by the time the drop returns — no locks on the hit path.
 struct TlsPoolCache {
   uint64_t pool_id = 0;  // 0 = empty slot.
   uint64_t generation = 0;
-  // Global epoch in which `generation` was last verified against the pool.
-  // While the epoch has not advanced, TlsProbe skips the generation
-  // acquire load entirely (see the soundness argument there).
-  uint64_t epoch = 0;
   LookupCache cache;
 };
 
@@ -75,154 +71,33 @@ MetaPool::MetaPool(std::string name, bool type_homogeneous,
       complete_(complete),
       cache_id_(next_pool_cache_id.fetch_add(1, std::memory_order_relaxed)) {}
 
-uint32_t MetaPool::StripeMaskFor(uint64_t start, uint64_t size) {
-  constexpr uint32_t kAllStripes = (1u << kNumStripes) - 1;
-  uint64_t first = start >> kStripeShift;
-  uint64_t last = first;
-  if (size != 0) {
-    uint64_t len = size - 1;
-    uint64_t end_inclusive =
-        start > UINT64_MAX - len ? UINT64_MAX : start + len;
-    last = end_inclusive >> kStripeShift;
-  }
-  if (last - first >= kNumStripes - 1) {
-    return kAllStripes;
-  }
-  uint32_t mask = 0;
-  for (uint64_t w = first;; ++w) {
-    mask |= 1u << (w & (kNumStripes - 1));
-    if (w == last) {
-      break;
-    }
-  }
-  return mask;
-}
-
-namespace {
-// Locks the masked stripes in ascending index order (the repo-wide stripe
-// lock order; see DESIGN.md §SMP) and releases them on destruction.
-template <typename StripeArray>
-class StripeMaskLock {
- public:
-  StripeMaskLock(StripeArray& stripes, uint32_t mask)
-      : stripes_(stripes), mask_(mask) {
-    for (size_t i = 0; i < stripes_.size(); ++i) {
-      if (mask_ & (1u << i)) {
-        stripes_[i].lock.lock();
-      }
-    }
-  }
-  ~StripeMaskLock() {
-    for (size_t i = 0; i < stripes_.size(); ++i) {
-      if (mask_ & (1u << i)) {
-        stripes_[i].lock.unlock();
-      }
-    }
-  }
-  StripeMaskLock(const StripeMaskLock&) = delete;
-  StripeMaskLock& operator=(const StripeMaskLock&) = delete;
-
- private:
-  StripeArray& stripes_;
-  const uint32_t mask_;
-};
-}  // namespace
-
 bool MetaPool::RegisterRange(uint64_t start, uint64_t size) {
-  const uint32_t mask = StripeMaskFor(start, size);
-  StripeMaskLock guard(stripes_, mask);
-  // Any live range overlapping [start, end] shares an address window with
-  // it, so the overlap surfaces as an Insert failure in one of the masked
-  // stripes; partially completed inserts are rolled back.
-  uint32_t inserted = 0;
-  for (size_t i = 0; i < kNumStripes; ++i) {
-    if ((mask & (1u << i)) == 0) {
-      continue;
-    }
-    if (!stripes_[i].tree.Insert(start, size)) {
-      for (size_t j = 0; j < i; ++j) {
-        if (inserted & (1u << j)) {
-          stripes_[j].tree.RemoveAt(start);
-        }
-      }
-      return false;
-    }
-    inserted |= 1u << i;
+  std::lock_guard<smp::SpinLock> guard(registry_.lock);
+  if (!registry_.tree.Insert(start, size)) {
+    return false;
   }
-  live_objects_.fetch_add(1, std::memory_order_release);
+  registry_.live_objects.fetch_add(1, std::memory_order_release);
   return true;
 }
 
 std::optional<ObjectRange> MetaPool::RemoveStart(uint64_t start) {
-  constexpr uint32_t kAllStripes = (1u << kNumStripes) - 1;
-  std::optional<ObjectRange> removed;
-  // The detached splay nodes outlive the removal by a grace period
-  // (shared_ptr because std::function requires a copyable callable).
-  auto detached = std::make_shared<std::vector<void*>>();
-  {
-    // Drops are rare next to checks: take every stripe, so the removal is
-    // atomic with respect to lookups without a two-phase size probe.
-    StripeMaskLock guard(stripes_, kAllStripes);
-    void* node = nullptr;
-    removed = stripes_[StripeFor(start)].tree.ExtractAt(start, &node);
-    if (!removed.has_value()) {
-      return std::nullopt;
-    }
-    if (node != nullptr) {
-      detached->push_back(node);
-    }
-    const uint32_t mask = StripeMaskFor(removed->start, removed->size);
-    for (size_t i = 0; i < kNumStripes; ++i) {
-      if (i != StripeFor(start) && (mask & (1u << i)) != 0) {
-        node = nullptr;
-        stripes_[i].tree.ExtractAt(start, &node);
-        if (node != nullptr) {
-          detached->push_back(node);
-        }
-      }
-    }
-    live_objects_.fetch_sub(1, std::memory_order_release);
-    // The per-thread cache contract: bump only after the trees no longer
-    // hold the object, so every cached copy of it is generation-stale from
-    // here on. Other threads' epoch-fresh entries may still serve it until
-    // the next epoch advance — see TlsProbe for why that is sound.
+  std::lock_guard<smp::SpinLock> guard(registry_.lock);
+  std::optional<ObjectRange> removed = registry_.tree.RemoveAt(start);
+  if (removed.has_value()) {
+    registry_.live_objects.fetch_sub(1, std::memory_order_release);
+    // The per-thread cache contract: bump only after the tree no longer
+    // holds the object, so every cached copy of it is generation-stale from
+    // here on.
     generation_.fetch_add(1, std::memory_order_release);
   }
-  // Same-thread drop-then-check must miss immediately, not at the next
-  // epoch boundary: kill this thread's own slot for the pool.
-  TlsPoolCache& slot = tls_pool_caches[cache_id_ % kTlsPoolCacheSlots];
-  if (slot.pool_id == cache_id_) {
-    slot.pool_id = 0;
-  }
-  smp::EpochDomain::Global().Retire([detached] {
-    for (void* node : *detached) {
-      SplayTree::FreeNode(node);
-    }
-  });
   return removed;
 }
 
 const ObjectRange* MetaPool::TlsProbe(uint64_t addr) const {
-  TlsPoolCache& slot = tls_pool_caches[cache_id_ % kTlsPoolCacheSlots];
-  if (slot.pool_id != cache_id_) {
+  const TlsPoolCache& slot = tls_pool_caches[cache_id_ % kTlsPoolCacheSlots];
+  if (slot.pool_id != cache_id_ ||
+      slot.generation != generation_.load(std::memory_order_acquire)) {
     return nullptr;
-  }
-  // Epoch-fresh fast path (docs/CONCURRENCY.md §5): a slot whose generation
-  // was verified in the current global epoch skips the pool-generation
-  // acquire load — the hot check path becomes one relaxed epoch load plus
-  // the TLS cache probe. Soundness: every drop retires its memory through
-  // the same epoch machinery, and a retiree from epoch E is reclaimed only
-  // once the global epoch reaches E+2; a hit served here is stale by less
-  // than one epoch, so it can only approve access to memory that is still
-  // intact. RemoveStart additionally self-invalidates the dropping
-  // thread's own slot, so a same-thread drop-then-check misses
-  // deterministically, with no epoch lag.
-  const uint64_t now = smp::EpochDomain::Global().epoch();
-  if (slot.epoch != now) {
-    if (slot.generation != generation_.load(std::memory_order_acquire)) {
-      return nullptr;
-    }
-    slot.epoch = now;  // Verified: fresh for the rest of this epoch.
   }
   return slot.cache.Find(addr);
 }
@@ -234,10 +109,6 @@ void MetaPool::TlsFill(uint64_t generation, const ObjectRange& range) {
     slot.generation = generation;
     slot.cache.Reset();
   }
-  // Tag with the fill-time epoch: drops that raced the locked lookup are at
-  // most epoch-current, so their memory outlives every hit this tag can
-  // authorize (same argument as in TlsProbe).
-  slot.epoch = smp::EpochDomain::Global().epoch();
   slot.cache.Remember(range);
 }
 
@@ -250,7 +121,7 @@ std::optional<ObjectRange> MetaPool::Lookup(uint64_t addr) {
       return *hit;
     }
   }
-  if (live_objects_.load(std::memory_order_acquire) == 0) {
+  if (registry_.live_objects.load(std::memory_order_acquire) == 0) {
     return std::nullopt;  // Empty pool: no miss is charged (cold registry).
   }
   if (use_cache) {
@@ -261,14 +132,13 @@ std::optional<ObjectRange> MetaPool::Lookup(uint64_t addr) {
   // this point it bumps the generation past `gen`, so whatever we cache
   // below is already stale and can never serve the dropped object.
   const uint64_t gen = generation_.load(std::memory_order_acquire);
-  Stripe& stripe = stripes_[StripeFor(addr)];
   std::optional<ObjectRange> found;
   uint64_t rotation_delta = 0;
   {
-    std::lock_guard<smp::SpinLock> guard(stripe.lock);
-    uint64_t rotations_before = stripe.tree.rotations();
-    found = stripe.tree.LookupContaining(addr);
-    rotation_delta = stripe.tree.rotations() - rotations_before;
+    std::lock_guard<smp::SpinLock> guard(registry_.lock);
+    uint64_t rotations_before = registry_.tree.rotations();
+    found = registry_.tree.LookupContaining(addr);
+    rotation_delta = registry_.tree.rotations() - rotations_before;
   }
   if (rotation_delta != 0) {
     trace::Emit(trace::EventId::kSplayRotation, rotation_delta);
@@ -289,18 +159,17 @@ std::optional<ObjectRange> MetaPool::LookupStart(uint64_t start) {
       return *hit;
     }
   }
-  if (live_objects_.load(std::memory_order_acquire) == 0) {
+  if (registry_.live_objects.load(std::memory_order_acquire) == 0) {
     return std::nullopt;
   }
   if (use_cache) {
     cache_misses_.Add();
   }
   const uint64_t gen = generation_.load(std::memory_order_acquire);
-  Stripe& stripe = stripes_[StripeFor(start)];
   std::optional<ObjectRange> found;
   {
-    std::lock_guard<smp::SpinLock> guard(stripe.lock);
-    found = stripe.tree.LookupStart(start);
+    std::lock_guard<smp::SpinLock> guard(registry_.lock);
+    found = registry_.tree.LookupStart(start);
   }
   if (found.has_value() && use_cache) {
     TlsFill(gen, *found);
@@ -316,30 +185,20 @@ void MetaPool::set_cache_enabled(bool enabled) {
 }
 
 uint64_t MetaPool::comparisons() const {
-  uint64_t total = 0;
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<smp::SpinLock> guard(stripe.lock);
-    total += stripe.tree.comparisons();
-  }
-  return total;
+  std::lock_guard<smp::SpinLock> guard(registry_.lock);
+  return registry_.tree.comparisons();
 }
 
 uint64_t MetaPool::rotations() const {
-  uint64_t total = 0;
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<smp::SpinLock> guard(stripe.lock);
-    total += stripe.tree.rotations();
-  }
-  return total;
+  std::lock_guard<smp::SpinLock> guard(registry_.lock);
+  return registry_.tree.rotations();
 }
 
 void MetaPool::ResetStats() {
   cache_hits_.Reset();
   cache_misses_.Reset();
-  for (Stripe& stripe : stripes_) {
-    std::lock_guard<smp::SpinLock> guard(stripe.lock);
-    stripe.tree.ResetStats();
-  }
+  std::lock_guard<smp::SpinLock> guard(registry_.lock);
+  registry_.tree.ResetStats();
 }
 
 // --- MetaPoolRuntime --------------------------------------------------------

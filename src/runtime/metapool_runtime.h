@@ -3,16 +3,13 @@
 // kernel bytecode. This is part of the SVA trusted computing base.
 //
 // Thread safety (DESIGN.md §SMP): checks arrive concurrently from every
-// virtual CPU, so each metapool shards its registry over kNumStripes splay
-// trees by address window, each stripe guarded by its own spinlock; an
-// object is inserted into every stripe its range touches, so a lookup only
-// ever probes the single stripe of the queried address. The object-lookup
-// cache in front of the trees is per-thread (TLS) and validated against a
-// per-pool generation counter, so the hot fast path takes no lock at all.
+// virtual CPU. Each metapool keeps the paper's single splay tree (§4.5)
+// behind one spinlock. The object-lookup cache in front of the tree is
+// per-thread (TLS) and every probe validates it against a per-pool
+// generation counter, so a cache hit takes no lock.
 #ifndef SVA_SRC_RUNTIME_METAPOOL_RUNTIME_H_
 #define SVA_SRC_RUNTIME_METAPOOL_RUNTIME_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -45,18 +42,13 @@ class MetaPoolRuntime;
 // One metapool: the run-time reflection of one points-to partition.
 //
 // Concurrency: RegisterRange/RemoveStart/Lookup/LookupStart are safe to call
-// from any thread. The registry is striped by 4 KiB address window; a range
-// lives in every stripe it touches (all stripes once it spans >= kNumStripes
-// windows), so Lookup(addr) needs only stripe(addr). Drops bump the pool
-// generation *after* the tree removal, which is what lets the per-thread
-// lookup cache skip locking: an entry is served only if its recorded
-// generation still matches, and any entry for a dropped object was tagged
-// with a pre-drop generation.
+// from any thread; every tree access holds the pool lock. Drops bump the
+// pool generation *after* the tree removal, which is what lets the
+// per-thread lookup cache skip locking: an entry is served only if its
+// recorded generation still matches, and any entry for a dropped object was
+// tagged with a pre-drop generation.
 class MetaPool {
  public:
-  static constexpr size_t kNumStripes = 16;
-  static constexpr uint64_t kStripeShift = 12;  // 4 KiB address windows.
-
   MetaPool(std::string name, bool type_homogeneous, uint64_t element_size,
            bool complete);
 
@@ -67,7 +59,7 @@ class MetaPool {
   void set_complete(bool c) { complete_ = c; }
 
   size_t live_objects() const {
-    return live_objects_.load(std::memory_order_relaxed);
+    return registry_.live_objects.load(std::memory_order_relaxed);
   }
 
   // Direct (uninstrumented) registry access used by the runtime and tests.
@@ -75,8 +67,8 @@ class MetaPool {
   bool RegisterRange(uint64_t start, uint64_t size);
   // Removes the object starting exactly at `start`; nullopt if none does.
   std::optional<ObjectRange> RemoveStart(uint64_t start);
-  // The registered object containing `addr`, if any (per-thread cache +
-  // single-stripe splay lookup).
+  // The registered object containing `addr`, if any (per-thread cache, then
+  // the splay tree).
   std::optional<ObjectRange> Lookup(uint64_t addr);
   // The registered object starting exactly at `start`, if any.
   std::optional<ObjectRange> LookupStart(uint64_t start);
@@ -89,7 +81,7 @@ class MetaPool {
   }
 
   // Fast-path counters: lookups absorbed by the per-thread cache, lookups
-  // that fell through to a tree, and splay comparisons over all stripes.
+  // that fell through to the tree, and the tree's splay comparisons.
   uint64_t cache_hits() const { return cache_hits_.value(); }
   uint64_t cache_misses() const { return cache_misses_.value(); }
   uint64_t comparisons() const;
@@ -97,16 +89,16 @@ class MetaPool {
   void ResetStats();
 
  private:
-  struct alignas(smp::kCacheLineBytes) Stripe {
+  // The tree, its lock and its object count share a cache line of their
+  // own, so lock traffic on misses and registrations does not evict the
+  // generation_ line that every cache hit reads.
+  struct alignas(smp::kCacheLineBytes) Registry {
     mutable smp::SpinLock lock;
     SplayTree tree;
+    // Written under `lock`; read without it by live_objects() and by the
+    // empty-pool early-out of a cache miss.
+    std::atomic<uint64_t> live_objects{0};
   };
-
-  static size_t StripeFor(uint64_t addr) {
-    return static_cast<size_t>(addr >> kStripeShift) & (kNumStripes - 1);
-  }
-  // Bitmask of stripes the range [start, start+size) touches.
-  static uint32_t StripeMaskFor(uint64_t start, uint64_t size);
 
   // Per-thread cache probe/fill (implemented over the TLS slot table in
   // metapool_runtime.cc). `generation` is the pool generation observed
@@ -119,11 +111,10 @@ class MetaPool {
   const uint64_t element_size_;
   bool complete_;
 
-  std::array<Stripe, kNumStripes> stripes_;
+  Registry registry_;
   // Bumped (release) after every removal; per-thread cache entries tagged
   // with an older generation are never served.
-  std::atomic<uint64_t> generation_{1};
-  std::atomic<uint64_t> live_objects_{0};
+  alignas(smp::kCacheLineBytes) std::atomic<uint64_t> generation_{1};
   // Globally unique, never recycled: keys this pool's slot in each thread's
   // cache table, so a destroyed pool's entries can never alias a new pool.
   const uint64_t cache_id_;
@@ -135,7 +126,7 @@ class MetaPool {
 // Owns all metapools of one executing kernel/program and implements the
 // pchk.*/sva.* operations against them.
 //
-// Concurrency: the check/registration entry points are thread-safe (striped
+// Concurrency: the check/registration entry points are thread-safe (locked
 // pool registries, spinlocked violation log and target sets, per-CPU check
 // counters). stats(), violations() and pools() report a consistent snapshot
 // only at quiescence (no checks in flight), which is how the harnesses use

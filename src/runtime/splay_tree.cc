@@ -161,15 +161,6 @@ bool SplayTree::Insert(uint64_t start, uint64_t size) {
 }
 
 std::optional<ObjectRange> SplayTree::RemoveAt(uint64_t start) {
-  void* node = nullptr;
-  std::optional<ObjectRange> removed = ExtractAt(start, &node);
-  FreeNode(node);
-  return removed;
-}
-
-std::optional<ObjectRange> SplayTree::ExtractAt(uint64_t start,
-                                                void** node_out) {
-  *node_out = nullptr;
   if (root_ == nullptr) {
     return std::nullopt;
   }
@@ -187,18 +178,9 @@ std::optional<ObjectRange> SplayTree::ExtractAt(uint64_t start,
     Splay(start);  // Max of left subtree becomes root (no right child).
     root_->right = right;
   }
-  // Detached, not freed: the node's children links are dead weight now, but
-  // the caller may still be publishing its absence to lock-free cache
-  // readers before the memory can be reused.
-  old->left = nullptr;
-  old->right = nullptr;
-  *node_out = old;
+  delete old;
   --size_;
   return removed;
-}
-
-void SplayTree::FreeNode(void* node) {
-  delete static_cast<Node*>(node);
 }
 
 std::optional<ObjectRange> SplayTree::LookupContaining(uint64_t addr) {

@@ -9,10 +9,10 @@
 // registration). Lookup by containing address splays the found node to the
 // root, which is what makes repeated checks on the same object cheap.
 //
-// The tree itself is single-writer: MetaPool shards its registry over
-// several trees (one per address stripe) and guards each with its own lock;
-// the object-lookup cache that used to front this tree is now per-thread
-// and lives in metapool_runtime.cc.
+// The tree itself is not thread-safe: every MetaPool owns one tree and
+// guards it with one lock (splaying mutates the tree on lookups too). The
+// per-thread object-lookup cache in front of it lives in
+// metapool_runtime.cc.
 #ifndef SVA_SRC_RUNTIME_SPLAY_TREE_H_
 #define SVA_SRC_RUNTIME_SPLAY_TREE_H_
 
@@ -49,16 +49,6 @@ class SplayTree {
   ~SplayTree();
   SplayTree(const SplayTree&) = delete;
   SplayTree& operator=(const SplayTree&) = delete;
-  SplayTree(SplayTree&& other) noexcept
-      : root_(other.root_),
-        size_(other.size_),
-        comparisons_(other.comparisons_),
-        rotations_(other.rotations_) {
-    other.root_ = nullptr;
-    other.size_ = 0;
-    other.comparisons_ = 0;
-    other.rotations_ = 0;
-  }
 
   // Inserts [start, start+size). Returns false if it would overlap an
   // existing range (including an exact duplicate). Zero-size ranges occupy
@@ -68,15 +58,6 @@ class SplayTree {
   // Removes the range that starts exactly at `start`. Returns the removed
   // range, or nullopt if no range starts there (an illegal free).
   std::optional<ObjectRange> RemoveAt(uint64_t start);
-
-  // Like RemoveAt, but hands the detached node back through `node_out`
-  // (untyped, because Node is private) instead of deleting it, so the
-  // caller can defer the free through the epoch machinery (MetaPool
-  // retires replaced nodes past a grace period; see docs/CONCURRENCY.md
-  // §5). Pass the pointer to FreeNode when the grace period ends.
-  // `*node_out` is left null when nothing starts at `start`.
-  std::optional<ObjectRange> ExtractAt(uint64_t start, void** node_out);
-  static void FreeNode(void* node);
 
   // Finds the range containing `addr`, splaying the found node to the root.
   std::optional<ObjectRange> LookupContaining(uint64_t addr);

@@ -14,7 +14,7 @@
 // (LockOrderChecker::set_enabled) to exercise the enforcement in tier-1
 // RelWithDebInfo builds too.
 //
-// Locks outside the kernel policy hierarchy — metapool stripe locks,
+// Locks outside the kernel policy hierarchy — metapool pool locks,
 // allocator locks, the net stack's three lock classes, trace drain locks —
 // are deliberately unranked: they are leaves of independent subsystems that
 // never call back into kernel locks, so ranking them would only add noise.

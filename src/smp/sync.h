@@ -3,17 +3,12 @@
 // The SVA paper targets multiprocessor commodity kernels: the runtime's
 // checks are issued concurrently from every processor, so the metapool
 // registries and the kernel's shared structures need kernel-style locking.
-// Two primitives cover every use in this repo:
 //
-//  * SpinLock — a test-and-test-and-set spinlock, the moral equivalent of
-//    Linux 2.4's spin_lock_t. Critical sections here are tens of
-//    nanoseconds (a splay-tree operation, a free-list pop), so spinning
-//    beats a futex-based std::mutex and keeps the dependency surface tiny.
-//  * StripedLockSet — a power-of-two array of SpinLocks hashed by address,
-//    for callers that want address-striped mutual exclusion without
-//    embedding a lock per object.
-//
-// Both are TSan-friendly: all synchronization goes through std::atomic with
+// SpinLock is a test-and-test-and-set spinlock, the moral equivalent of
+// Linux 2.4's spin_lock_t. Critical sections here are tens of nanoseconds
+// (a splay-tree operation, a free-list pop), so spinning beats a
+// futex-based std::mutex and keeps the dependency surface tiny. It is
+// TSan-friendly: all synchronization goes through std::atomic with
 // acquire/release ordering.
 #ifndef SVA_SRC_SMP_SYNC_H_
 #define SVA_SRC_SMP_SYNC_H_
@@ -67,36 +62,6 @@ class SpinLock {
 
  private:
   std::atomic<bool> locked_{false};
-};
-
-// A power-of-two set of spinlocks indexed by a hashed address. Distinct
-// addresses usually map to distinct locks, so unrelated critical sections
-// proceed in parallel; equal addresses always map to the same lock.
-template <size_t N>
-class StripedLockSet {
-  static_assert((N & (N - 1)) == 0, "stripe count must be a power of two");
-
- public:
-  static constexpr size_t kStripes = N;
-
-  SpinLock& ForAddress(uint64_t address) {
-    return stripes_[IndexFor(address)].lock;
-  }
-  SpinLock& ForIndex(size_t index) { return stripes_[index & (N - 1)].lock; }
-
-  static size_t IndexFor(uint64_t address) {
-    // Fibonacci hash of the page number: adjacent pages spread across
-    // stripes, while addresses within one page share a stripe.
-    uint64_t page = address >> 12;
-    return static_cast<size_t>((page * 0x9E3779B97F4A7C15ULL) >> 32) &
-           (N - 1);
-  }
-
- private:
-  struct alignas(kCacheLineBytes) PaddedLock {
-    SpinLock lock;
-  };
-  PaddedLock stripes_[N];
 };
 
 }  // namespace sva::smp

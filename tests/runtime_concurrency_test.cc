@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -69,9 +70,8 @@ TEST(RuntimeConcurrencyTest, ConcurrentChecksOnStableObjects) {
 
 TEST(RuntimeConcurrencyTest, MixedRegisterDropCheckStress) {
   MetaPoolRuntime rt;
-  // Two shared pools, including spanning objects that straddle every
-  // stripe, so concurrent multi-stripe inserts/removes and single-stripe
-  // lookups interleave.
+  // Two shared pools, including objects spanning up to 32 pages, so
+  // concurrent inserts/removes of large ranges and lookups interleave.
   MetaPool* a = rt.CreatePool("stress_a", true, 64, /*complete=*/true);
   MetaPool* b = rt.CreatePool("stress_b", false, 0, /*complete=*/true);
 
@@ -85,8 +85,7 @@ TEST(RuntimeConcurrencyTest, MixedRegisterDropCheckStress) {
       MetaPool* pool = (rng() & 1) ? a : b;
       uint64_t slot = rng() % 16;
       uint64_t start = region + slot * 0x100000;
-      // Sizes up to 128 KiB: 32 address windows, i.e. objects that live in
-      // every stripe of the pool.
+      // Sizes up to 128 KiB: objects spanning up to 32 pages.
       uint64_t size = 64 + (rng() % 0x20000);
       switch (rng() % 4) {
         case 0:
@@ -232,6 +231,49 @@ TEST(RuntimeConcurrencyTest, CacheToggleDuringTraffic) {
   });
   toggler.join();
   EXPECT_TRUE(rt.violations().empty());
+}
+
+// A drop on one thread must invalidate what another thread cached: thread
+// A checks X (filling its per-thread cache), thread B drops X, then A's
+// next check on X must fail and a lookup must miss.
+TEST(RuntimeConcurrencyTest, DropOnOneThreadInvalidatesAnotherThreadsCache) {
+  MetaPoolRuntime rt;
+  MetaPool* pool = rt.CreatePool("cross_thread", true, 64, /*complete=*/true);
+  const uint64_t x = RegionBase(0);
+  ASSERT_TRUE(rt.RegisterObject(*pool, x, 64).ok());
+
+  std::atomic<int> phase{0};  // 1: A has cached X; 2: B has dropped X.
+  Status check_after_drop;
+  std::optional<ObjectRange> lookup_after_drop;
+  uint64_t hits_before_drop = 0;
+  std::thread a([&] {
+    smp::ScopedCpu bind(0);
+    EXPECT_TRUE(rt.LoadStoreCheck(*pool, x + 8).ok());  // Miss, then fill.
+    EXPECT_TRUE(rt.LoadStoreCheck(*pool, x + 16).ok());  // Cache hit.
+    hits_before_drop = pool->cache_hits();
+    phase.store(1, std::memory_order_release);
+    while (phase.load(std::memory_order_acquire) != 2) {
+      std::this_thread::yield();
+    }
+    check_after_drop = rt.LoadStoreCheck(*pool, x + 8);
+    lookup_after_drop = pool->Lookup(x + 8);
+  });
+  std::thread b([&] {
+    smp::ScopedCpu bind(1);
+    while (phase.load(std::memory_order_acquire) != 1) {
+      std::this_thread::yield();
+    }
+    EXPECT_TRUE(rt.DropObject(*pool, x).ok());
+    phase.store(2, std::memory_order_release);
+  });
+  a.join();
+  b.join();
+
+  EXPECT_EQ(hits_before_drop, 1u);  // X really was cached on thread A.
+  EXPECT_EQ(pool->live_objects(), 0u);
+  EXPECT_EQ(check_after_drop.code(), StatusCode::kSafetyViolation)
+      << "a stale per-thread cache entry approved a dropped object";
+  EXPECT_FALSE(lookup_after_drop.has_value());
 }
 
 }  // namespace

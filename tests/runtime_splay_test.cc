@@ -5,6 +5,7 @@
 
 #include "src/runtime/metapool_runtime.h"
 #include "src/runtime/splay_tree.h"
+#include "src/smp/epoch.h"
 
 namespace sva::runtime {
 namespace {
@@ -253,10 +254,10 @@ TEST(MetaPoolLookupCacheTest, LookupStartServedFromCache) {
 
 TEST(MetaPoolLookupCacheTest, SpanningObjectFoundFromEveryStripe) {
   MetaPool pool = MakePool();
-  // An object spanning many 4 KiB windows is registered in every stripe it
-  // touches, so a lookup through any window finds it.
+  // An object spanning many 4 KiB pages is found through any page it
+  // covers.
   constexpr uint64_t kStart = 0x10000;
-  constexpr uint64_t kSize = 0x40000;  // 64 windows: all stripes.
+  constexpr uint64_t kSize = 0x40000;  // 64 pages.
   ASSERT_TRUE(pool.RegisterRange(kStart, kSize));
   for (uint64_t off = 0; off < kSize; off += 0x1000) {
     auto hit = pool.Lookup(kStart + off);
@@ -266,11 +267,11 @@ TEST(MetaPoolLookupCacheTest, SpanningObjectFoundFromEveryStripe) {
   }
   EXPECT_FALSE(pool.Lookup(kStart - 1).has_value());
   EXPECT_FALSE(pool.Lookup(kStart + kSize).has_value());
-  // Overlaps with the spanning object are rejected from any window.
+  // Overlaps with the spanning object are rejected from any page.
   EXPECT_FALSE(pool.RegisterRange(kStart + 0x5000, 0x10));
   EXPECT_FALSE(pool.RegisterRange(kStart - 0x10, 0x20));
   EXPECT_EQ(pool.live_objects(), 1u);
-  // A drop removes it from every stripe.
+  // A drop removes it for every page.
   ASSERT_TRUE(pool.RemoveStart(kStart).has_value());
   EXPECT_EQ(pool.live_objects(), 0u);
   for (uint64_t off = 0; off < kSize; off += 0x1000) {
@@ -318,6 +319,24 @@ TEST(MetaPoolLookupCacheTest, RandomChurnNeverServesStale) {
       }
     }
   }
+}
+
+// Drops free their splay node inline under the pool lock. Nothing in the
+// runtime passes an epoch quiescent state, so a node handed to the global
+// epoch domain instead would never be reclaimed: memory would grow with
+// every register/drop pair.
+TEST(MetaPoolLookupCacheTest, DropsRetireNothingThroughTheEpochDomain) {
+  MetaPool pool = MakePool();
+  const smp::EpochDomain& epochs = smp::EpochDomain::Global();
+  const uint64_t retired_before = epochs.retired();
+  for (uint64_t i = 0; i < 1000; ++i) {
+    const uint64_t start = 0x100000 + (i % 64) * 0x100;
+    ASSERT_TRUE(pool.RegisterRange(start, 0x80));
+    ASSERT_TRUE(pool.Lookup(start + 0x10).has_value());
+    ASSERT_TRUE(pool.RemoveStart(start).has_value());
+  }
+  EXPECT_EQ(epochs.retired(), retired_before);
+  EXPECT_EQ(pool.live_objects(), 0u);
 }
 
 // Property test: the splay tree agrees with a std::map reference model
