@@ -1,13 +1,11 @@
 // SMP scaling microbenchmark: how the shared metapool runtime behaves when
 // run-time checks arrive from many virtual CPUs at once.
 //
-// Four phases:
+// Five phases:
 //   1. Check throughput on one SHARED MetaPoolRuntime at 1/2/4/8 worker
 //      threads (checks/sec, ns/check, measured speedup, and the measured
 //      lock-free fraction — the share of lookups absorbed by the per-thread
-//      cache without touching the pool lock). Workers start together on a
-//      latch and time themselves, so thread spawn and join are off the
-//      clock.
+//      cache without touching the pool lock).
 //   2. The same with a register/drop mutation mix, exercising the pool
 //      lock and generation invalidation under contention.
 //   3. The minikernel syscall driver at 1/2/4/8 workers running a mixed
@@ -24,9 +22,17 @@
 //      and as 8 concurrent worker replicas must catch exactly the same
 //      exploits (concurrency must never change what the checks detect).
 //
+// Phases 1-4 share one timing discipline (MeasurePhase): workers start
+// together on a latch and time themselves, so thread spawn and join are
+// off the clock; each worker count gets an untimed warm-up shot, then
+// kRepetitions timed shots interleaved across the counts, and the median
+// is reported with the min-max range. Phases 3-4 boot one kernel with the
+// largest worker count's virtual CPUs and run every shot on it, so vCPU
+// bring-up is set-up, not syscalls.
+//
 // Flags: --cpus N caps the worker counts swept (default 8); --quick shrinks
 // iteration counts to CI size; --json PATH emits machine-readable records
-// (tools/check-smp-scaling gates on the kernel-phase speedup).
+// (tools/check-smp-scaling gates the kernel and read-mostly speedups).
 //
 // Note on measured speedup: the wall-clock numbers depend on how many
 // hardware threads the host actually has. On a single-core host every
@@ -82,12 +88,92 @@ uint64_t ObjectBase(unsigned thread, uint64_t index) {
          index * 0x1000;
 }
 
+// HBench-OS repetition count (bench/common.h), the repo's quick-mode
+// count (net_throughput's MedianLatencyUs(quick ? 7 : 21, ...)).
+constexpr int kRepetitions = 7;
+
 struct ScalingSample {
   unsigned threads = 0;
   double seconds = 0;
-  uint64_t checks = 0;
+  uint64_t ops = 0;
   double lock_free_fraction = 0;
+
+  double rate() const { return static_cast<double>(ops) / seconds; }
 };
+
+// One timed parallel section: worker t is bound to virtual CPU t, the
+// workers start together on a latch and time themselves, so thread spawn
+// and join stay off the clock. Returns the seconds from the first worker
+// off the line to the last one done.
+template <typename Body>
+double TimeWorkers(unsigned threads, Body&& body) {
+  using Clock = std::chrono::steady_clock;
+  std::latch start_line(threads);
+  std::vector<Clock::time_point> began(threads);
+  std::vector<Clock::time_point> finished(threads);
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (unsigned t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      smp::ScopedCpu bind(t);
+      start_line.arrive_and_wait();
+      began[t] = Clock::now();
+      body(t);
+      finished[t] = Clock::now();
+    });
+  }
+  for (std::thread& w : workers) {
+    w.join();
+  }
+  return std::chrono::duration<double>(
+             *std::max_element(finished.begin(), finished.end()) -
+             *std::min_element(began.begin(), began.end()))
+      .count();
+}
+
+// A phase's result at one worker count: the shot of median duration, and
+// the slowest and fastest rates over the repetitions.
+struct PhaseRow {
+  ScalingSample median;
+  double min_rate = 0;
+  double max_rate = 0;
+};
+
+// Measures one phase at every swept worker count: an untimed warm-up shot
+// per count, then kRepetitions rounds of one timed shot per count, so
+// drift in the host's speed lands on every count alike. `shot(threads)`
+// runs one parallel section and returns its sample.
+template <typename Shot>
+std::vector<PhaseRow> MeasurePhase(Shot&& shot) {
+  const std::vector<unsigned> counts = ThreadCounts();
+  for (unsigned threads : counts) {
+    (void)shot(threads);
+  }
+  std::vector<std::vector<ScalingSample>> runs(counts.size());
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    for (size_t c = 0; c < counts.size(); ++c) {
+      runs[c].push_back(shot(counts[c]));
+    }
+  }
+  std::vector<PhaseRow> rows;
+  for (std::vector<ScalingSample>& samples : runs) {
+    std::sort(samples.begin(), samples.end(),
+              [](const ScalingSample& a, const ScalingSample& b) {
+                return a.seconds < b.seconds;
+              });
+    PhaseRow row;
+    row.median = samples[samples.size() / 2];
+    row.min_rate = samples.back().rate();
+    row.max_rate = samples.front().rate();
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+std::string RateRange(const PhaseRow& row) {
+  return Fmt("%.2f", row.min_rate / 1e6) + "-" +
+         Fmt("%.2fM", row.max_rate / 1e6);
+}
 
 // Runs `threads` workers against one shared runtime; each worker issues
 // lscheck/boundscheck pairs over its own pre-registered objects, plus (when
@@ -106,16 +192,11 @@ ScalingSample RunScaling(unsigned threads, bool mutate) {
   rt.ResetStats();
   pool->ResetStats();
 
-  using Clock = std::chrono::steady_clock;
   std::atomic<uint64_t> failures{0};
-  std::latch start_line(threads);
-  std::vector<Clock::time_point> began(threads);
-  std::vector<Clock::time_point> finished(threads);
-  auto worker = [&](unsigned t) {
-    smp::ScopedCpu bind(t);
+  ScalingSample sample;
+  sample.threads = threads;
+  sample.seconds = TimeWorkers(threads, [&](unsigned t) {
     uint64_t scratch_base = ObjectBase(t, kObjectsPerThread + 8);
-    start_line.arrive_and_wait();
-    began[t] = Clock::now();
     for (uint64_t i = 0; i < g_checks_per_thread; ++i) {
       // Copy-loop-shaped stream: kObjectSize consecutive checks against one
       // object before moving to the next, the access skew the per-thread
@@ -132,28 +213,10 @@ ScalingSample RunScaling(unsigned threads, bool mutate) {
         (void)rt.DropObject(*pool, scratch_base);
       }
     }
-    finished[t] = Clock::now();
-  };
-
-  std::vector<std::thread> pool_workers;
-  pool_workers.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    pool_workers.emplace_back(worker, t);
-  }
-  for (std::thread& w : pool_workers) {
-    w.join();
-  }
+  });
 
   const runtime::CheckStats& stats = rt.stats();
-  ScalingSample sample;
-  sample.threads = threads;
-  // Wall time of the parallel section: first worker off the line to last
-  // worker done.
-  sample.seconds = std::chrono::duration<double>(
-                       *std::max_element(finished.begin(), finished.end()) -
-                       *std::min_element(began.begin(), began.end()))
-                       .count();
-  sample.checks = stats.total_performed();
+  sample.ops = stats.total_performed();
   uint64_t lookups = stats.cache_hits + stats.cache_misses;
   sample.lock_free_fraction =
       lookups == 0 ? 0 : static_cast<double>(stats.cache_hits) / lookups;
@@ -167,24 +230,41 @@ ScalingSample RunScaling(unsigned threads, bool mutate) {
 
 void PrintScalingTable(const char* title, bool mutate) {
   std::printf("%s\n\n", title);
-  std::vector<ScalingSample> samples;
-  for (unsigned threads : ThreadCounts()) {
-    samples.push_back(RunScaling(threads, mutate));
-  }
-  double base_rate = samples[0].checks / samples[0].seconds;
-  Table table({"Threads", "Checks/sec", "ns/check", "Speedup", "Lock-free",
-               "Amdahl proj."});
-  for (const ScalingSample& s : samples) {
-    double rate = s.checks / s.seconds;
+  std::vector<PhaseRow> rows =
+      MeasurePhase([mutate](unsigned threads) {
+        return RunScaling(threads, mutate);
+      });
+  double base_rate = rows[0].median.rate();
+  Table table({"Threads", "Checks/sec", "Range", "ns/check", "Speedup",
+               "Lock-free", "Amdahl proj."});
+  for (const PhaseRow& row : rows) {
+    const ScalingSample& s = row.median;
     double per_thread_ns =
-        s.seconds * 1e9 * s.threads / static_cast<double>(s.checks);
+        s.seconds * 1e9 * s.threads / static_cast<double>(s.ops);
     double p = s.lock_free_fraction;
     double projected = 1.0 / ((1.0 - p) + p / s.threads);
-    table.AddRow({std::to_string(s.threads), Fmt("%.2fM", rate / 1e6),
-                  Fmt("%.1f", per_thread_ns), Fmt("%.2fx", rate / base_rate),
+    table.AddRow({std::to_string(s.threads), Fmt("%.2fM", s.rate() / 1e6),
+                  RateRange(row), Fmt("%.1f", per_thread_ns),
+                  Fmt("%.2fx", s.rate() / base_rate),
                   Fmt("%.1f%%", 100.0 * p), Fmt("%.2fx", projected)});
-    JsonReport::Get().Add(std::string(title) + " checks/sec", rate,
+    JsonReport::Get().Add(std::string(title) + " checks/sec", s.rate(),
                           "checks/s", "", s.threads);
+  }
+  table.Print();
+  std::printf("\n");
+}
+
+// Prints a kernel phase's table and records its JSON rows under `metric`.
+void PrintSyscallTable(const std::vector<PhaseRow>& rows,
+                       const char* metric) {
+  Table table({"Workers", "Syscalls/sec", "Range", "us/syscall", "Speedup"});
+  double base_rate = rows[0].median.rate();
+  for (const PhaseRow& row : rows) {
+    const ScalingSample& s = row.median;
+    table.AddRow({std::to_string(s.threads), Fmt("%.2fM", s.rate() / 1e6),
+                  RateRange(row), Fmt("%.3f", 1e6 / s.rate()),
+                  Fmt("%.2fx", s.rate() / base_rate)});
+    JsonReport::Get().Add(metric, s.rate(), "calls/s", "sva-safe", s.threads);
   }
   table.Print();
   std::printf("\n");
@@ -194,99 +274,87 @@ void KernelSyscallPhase() {
   std::printf(
       "Minikernel syscall driver (post-BKL-split: tasks+vfs mixed workload "
       "on per-subsystem leaf locks)\n\n");
-  Table table({"Workers", "Syscalls/sec", "us/syscall", "Speedup"});
-  double base_rate = 0;
-  for (unsigned threads : ThreadCounts()) {
-    BootedKernel booted(kernel::KernelMode::kSvaSafe);
-    // One regular file per worker, opened up front from the driver thread:
-    // the workers all run as pid 1, so the fds land in one shared fd table.
-    std::vector<uint64_t> fds;
-    for (unsigned t = 0; t < threads; ++t) {
-      fds.push_back(booted.OpenFile("/bench/worker" + std::to_string(t)));
-      booted.Call(kernel::Sys::kWrite, fds.back(), booted.user(4096), 1024);
-    }
-    const uint64_t calls_per_worker = g_calls_per_worker;
-    double us = TimeOnceUs([&] {
-      booted.RunWorkers(threads, [&](unsigned t) {
-        // The mix: mostly tasks-route calls (getpid/brk — the fork/exit
-        // family's lock path without the allocation noise), with a vfs
-        // read+seek every 8th iteration so both split-off subsystems are
-        // on the clock. 4 syscalls per iteration amortized over 8
-        // iterations: 2*8 + 2 = 18 calls per 8 iterations.
-        uint64_t ubuf = booted.user(8192 + t * 512);
-        for (uint64_t i = 0; i < calls_per_worker; ++i) {
-          booted.Call(kernel::Sys::kGetPid);
-          booted.Call(kernel::Sys::kBrk, 0);
-          if (i % 8 == 0) {
-            booted.Call(kernel::Sys::kLseek, fds[t], 0, 0);
-            booted.Call(kernel::Sys::kRead, fds[t], ubuf, 256);
-          }
-        }
-      });
-    });
-    uint64_t per_worker = 2 * calls_per_worker + 2 * (calls_per_worker / 8);
-    double total = static_cast<double>(per_worker) * threads;
-    double rate = total / us * 1e6;
-    if (base_rate == 0) {
-      base_rate = rate;
-    }
-    table.AddRow({std::to_string(threads), Fmt("%.2fM", total / us),
-                  Fmt("%.3f", us / total), Fmt("%.2fx", rate / base_rate)});
-    JsonReport::Get().Add("kernel syscalls/sec", rate, "calls/s", "sva-safe",
-                          threads);
+  // One kernel for every shot, with a virtual CPU per worker of the
+  // largest count, so vCPU bring-up stays out of the timed shots.
+  const unsigned max_workers = ThreadCounts().back();
+  BootedKernel booted(kernel::KernelMode::kSvaSafe);
+  booted.k().svaos().ConfigureCpus(max_workers);
+  // One regular file per worker, opened up front from the driver thread:
+  // the workers all run as pid 1, so the fds land in one shared fd table.
+  std::vector<uint64_t> fds;
+  for (unsigned t = 0; t < max_workers; ++t) {
+    fds.push_back(booted.OpenFile("/bench/worker" + std::to_string(t)));
+    booted.Call(kernel::Sys::kWrite, fds.back(), booted.user(4096), 1024);
   }
-  table.Print();
-  std::printf("\n");
+  const uint64_t calls_per_worker = g_calls_per_worker;
+  auto shot = [&](unsigned threads) {
+    ScalingSample sample;
+    sample.threads = threads;
+    sample.seconds = TimeWorkers(threads, [&](unsigned t) {
+      // The mix: mostly tasks-route calls (getpid/brk — the fork/exit
+      // family's lock path without the allocation noise), with a vfs
+      // read+seek every 8th iteration so both split-off subsystems are
+      // on the clock. 4 syscalls per iteration amortized over 8
+      // iterations: 2*8 + 2 = 18 calls per 8 iterations.
+      uint64_t ubuf = booted.user(8192 + t * 512);
+      for (uint64_t i = 0; i < calls_per_worker; ++i) {
+        booted.Call(kernel::Sys::kGetPid);
+        booted.Call(kernel::Sys::kBrk, 0);
+        if (i % 8 == 0) {
+          booted.Call(kernel::Sys::kLseek, fds[t], 0, 0);
+          booted.Call(kernel::Sys::kRead, fds[t], ubuf, 256);
+        }
+      }
+    });
+    sample.ops =
+        (2 * calls_per_worker + 2 * (calls_per_worker / 8)) * threads;
+    return sample;
+  };
+  PrintSyscallTable(MeasurePhase(shot), "kernel syscalls/sec");
 }
 
 void ReadMostlyPhase() {
   std::printf(
       "Read-mostly phase: stat/getpid/fd-lookup mix on epoch-protected "
       "structures\n\n");
-  Table table({"Workers", "Syscalls/sec", "us/syscall", "Speedup"});
-  double base_rate = 0;
-  for (unsigned threads : ThreadCounts()) {
-    BootedKernel booted(kernel::KernelMode::kSvaSafe);
-    // Per-worker file with some data, plus a per-worker copy of its path
-    // staged in user memory for kStat. The loop body resolves fds through
-    // the epoch-published fd table, paths through the epoch-published
-    // directory index, and the stat argument through the userspace bounds
-    // check — no kernel-policy lock at any rank (docs/CONCURRENCY.md §5).
-    std::vector<uint64_t> fds;
-    std::vector<uint64_t> paths;
-    for (unsigned t = 0; t < threads; ++t) {
-      std::string path = "/bench/ro" + std::to_string(t);
-      fds.push_back(booted.OpenFile(path));
-      booted.Call(kernel::Sys::kWrite, fds.back(), booted.user(4096), 1024);
-      uint64_t path_uaddr = booted.user(16384 + t * 128);
-      Status s = booted.k().PokeUserString(path_uaddr, path);
-      assert(s.ok());
-      (void)s;
-      paths.push_back(path_uaddr);
-    }
-    const uint64_t calls_per_worker = g_calls_per_worker;
-    double us = TimeOnceUs([&] {
-      booted.RunWorkers(threads, [&](unsigned t) {
-        for (uint64_t i = 0; i < calls_per_worker; ++i) {
-          booted.Call(kernel::Sys::kStat, paths[t]);
-          booted.Call(kernel::Sys::kGetPid);
-          // lseek(fd, 0, SEEK_CUR): the lock-free fd->offset read.
-          booted.Call(kernel::Sys::kLseek, fds[t], 0, 1);
-        }
-      });
-    });
-    double total = 3.0 * static_cast<double>(calls_per_worker) * threads;
-    double rate = total / us * 1e6;
-    if (base_rate == 0) {
-      base_rate = rate;
-    }
-    table.AddRow({std::to_string(threads), Fmt("%.2fM", total / us),
-                  Fmt("%.3f", us / total), Fmt("%.2fx", rate / base_rate)});
-    JsonReport::Get().Add("readmostly syscalls/sec", rate, "calls/s",
-                          "sva-safe", threads);
+  // One kernel for every shot, with a virtual CPU per worker of the
+  // largest count, so vCPU bring-up stays out of the timed shots.
+  const unsigned max_workers = ThreadCounts().back();
+  BootedKernel booted(kernel::KernelMode::kSvaSafe);
+  booted.k().svaos().ConfigureCpus(max_workers);
+  // Per-worker file with some data, plus a per-worker copy of its path
+  // staged in user memory for kStat. The loop body resolves fds through
+  // the epoch-published fd table, paths through the epoch-published
+  // directory index, and the stat argument through the userspace bounds
+  // check — no kernel-policy lock at any rank (docs/CONCURRENCY.md §5).
+  std::vector<uint64_t> fds;
+  std::vector<uint64_t> paths;
+  for (unsigned t = 0; t < max_workers; ++t) {
+    std::string path = "/bench/ro" + std::to_string(t);
+    fds.push_back(booted.OpenFile(path));
+    booted.Call(kernel::Sys::kWrite, fds.back(), booted.user(4096), 1024);
+    uint64_t path_uaddr = booted.user(16384 + t * 128);
+    Status s = booted.k().PokeUserString(path_uaddr, path);
+    assert(s.ok());
+    (void)s;
+    paths.push_back(path_uaddr);
   }
-  table.Print();
-  std::printf("\n");
+  const uint64_t calls_per_worker = g_calls_per_worker;
+  auto shot = [&](unsigned threads) {
+    ScalingSample sample;
+    sample.threads = threads;
+    sample.seconds = TimeWorkers(threads, [&](unsigned t) {
+      for (uint64_t i = 0; i < calls_per_worker; ++i) {
+        booted.Call(kernel::Sys::kStat, paths[t]);
+        booted.Call(kernel::Sys::kGetPid);
+        // lseek(fd, 0, SEEK_CUR): the lock-free fd->offset read.
+        booted.Call(kernel::Sys::kLseek, fds[t], 0, 1);
+      }
+    });
+    sample.ops = 3 * calls_per_worker * threads;
+    return sample;
+  };
+  PrintSyscallTable(MeasurePhase(shot), "readmostly syscalls/sec");
 }
 
 // Runs the five-exploit suite once on the calling thread; returns the caught

@@ -29,6 +29,7 @@
 #include "src/runtime/metapool_runtime.h"
 #include "src/smp/epoch.h"
 #include "src/smp/lock_order.h"
+#include "src/smp/percpu.h"
 #include "src/smp/sync.h"
 #include "src/support/status.h"
 #include "src/svaos/svaos.h"
@@ -393,7 +394,8 @@ class Kernel {
   // The virtual-memory subsystem (demand paging, COW fork, TLB shootdown).
   mm::VmManager& vm() { return vm_; }
   mm::FrameAllocator& frames() { return frames_; }
-  const KernelStats& stats() const { return stats_; }
+  // The counters folded over the per-CPU shards (see stats_shards_).
+  KernelStats stats() const;
   svaos::SvaOS& svaos() { return svaos_; }
   runtime::MetaPoolRuntime& pools() { return pools_; }
   KernelAllocators& allocators() { return *allocators_; }
@@ -672,7 +674,16 @@ class Kernel {
   std::atomic<int> current_pid_{0};  // Read off-lock by the net fast path.
   int next_pid_ = 1;
   int next_ino_ = 1;
-  KernelStats stats_;
+  // Adds `delta` to `field` in the calling CPU's shard with a relaxed RMW,
+  // so oversubscribed threads sharing a CPU id stay race-free.
+  void Count(uint64_t KernelStats::*field, uint64_t delta = 1) {
+    std::atomic_ref<uint64_t>(stats_shards_.Current().*field)
+        .fetch_add(delta, std::memory_order_relaxed);
+  }
+  // Per-CPU, like SvaOsStats and the metapool CheckStats: one shared
+  // counter bumped on every syscall serializes the cores like a lock
+  // (docs/CONCURRENCY.md §4).
+  smp::PerCpu<KernelStats> stats_shards_;
   bool booted_ = false;
 };
 

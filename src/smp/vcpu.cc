@@ -22,9 +22,7 @@ SvaOsStats& SvaOsStats::operator+=(const SvaOsStats& other) {
 }
 
 VirtualCpu::VirtualCpu(unsigned id, hw::Cpu* external)
-    : id_(id),
-      owned_cpu_(external ? nullptr : std::make_unique<hw::Cpu>()),
-      cpu_(external ? external : owned_cpu_.get()) {}
+    : id_(id), cpu_(external ? external : &owned_cpu_) {}
 
 InterruptContext* VirtualCpu::PushContext(uint64_t id) {
   InterruptContext* icp = &icontext_slab_[icontext_depth_ % kMaxNestedContexts];

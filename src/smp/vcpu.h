@@ -90,7 +90,10 @@ struct SvaOsStats {
   SvaOsStats& operator+=(const SvaOsStats& other);
 };
 
-class VirtualCpu {
+// Cache-line aligned, with the application processor's hw::Cpu held
+// inline: one CPU's trap-path writes (control state, TLB, context slab)
+// must never share a line with another CPU's state.
+class alignas(kCacheLineBytes) VirtualCpu {
  public:
   // The kernel-stack region holding live interrupt contexts: a fixed slab,
   // like the real kernel stack — no allocation on the trap path. Nested
@@ -117,6 +120,10 @@ class VirtualCpu {
   // Pushes a fresh context (wrapping at the slab depth, matching the
   // pre-SMP behaviour for pathological nesting).
   InterruptContext* PushContext(uint64_t id);
+  // A fresh context id: this CPU's sequence number scaled by kMaxCpus plus
+  // the CPU id, so ids are unique across the machine without a shared
+  // counter on the trap path.
+  uint64_t NextContextId() { return ++icontext_seq_ * kMaxCpus + id_; }
   // Pops `icp` if it is the innermost context.
   void PopContext(InterruptContext* icp);
   size_t icontext_depth() const { return icontext_depth_; }
@@ -127,12 +134,13 @@ class VirtualCpu {
 
  private:
   const unsigned id_;
-  std::unique_ptr<hw::Cpu> owned_cpu_;  // Null for the boot CPU.
+  hw::Cpu owned_cpu_;  // Unused by the boot CPU.
   hw::Cpu* cpu_;
   hw::Tlb tlb_;
   SvaOsStats stats_;
   std::array<InterruptContext, kMaxNestedContexts> icontext_slab_;
   size_t icontext_depth_ = 0;
+  uint64_t icontext_seq_ = 0;
   SavedIntegerState integer_scratch_;
   SavedFpState fp_scratch_;
 };

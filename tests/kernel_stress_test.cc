@@ -212,6 +212,48 @@ TEST(KernelStressTest, ConcurrentVfsAndForkOffTheBkl) {
   EXPECT_TRUE(h.k().pools().violations().empty());
 }
 
+// The kernel's counters are per-CPU shards folded by stats(): a syscall or
+// user copy on any bound CPU must land in the fold exactly once, with no
+// update lost to a race between CPUs.
+TEST(KernelStressTest, PerCpuCountersFoldExactly) {
+  StressHarness h;
+  constexpr unsigned kWorkers = 4;
+  constexpr uint64_t kRounds = 500;
+  constexpr uint64_t kLen = 100;
+
+  uint64_t fds[kWorkers];
+  std::vector<char> payload(kLen, 'n');
+  for (unsigned t = 0; t < kWorkers; ++t) {
+    std::string path = "/stress/count" + std::to_string(t);
+    ASSERT_TRUE(h.k().PokeUserString(h.user(0), path).ok());
+    fds[t] = h.Call(Sys::kOpen, h.user(0), 1);
+    ASSERT_TRUE(
+        h.k().PokeUser(h.user(8192 + t * 256), payload.data(), kLen).ok());
+  }
+
+  h.k().svaos().ConfigureCpus(kWorkers);
+  const KernelStats before = h.k().stats();
+  std::vector<std::thread> workers;
+  for (unsigned t = 0; t < kWorkers; ++t) {
+    workers.emplace_back([&h, &fds, t] {
+      smp::ScopedCpu bind(t);
+      for (uint64_t round = 0; round < kRounds; ++round) {
+        // One syscall that copies kLen bytes from user memory, one that
+        // copies none.
+        h.Call(Sys::kWrite, fds[t], h.user(8192 + t * 256), kLen);
+        h.Call(Sys::kLseek, fds[t], 0, 0);
+      }
+    });
+  }
+  for (std::thread& w : workers) {
+    w.join();
+  }
+  const KernelStats after = h.k().stats();
+  EXPECT_EQ(after.syscalls - before.syscalls, kWorkers * kRounds * 2);
+  EXPECT_EQ(after.bytes_copied_user - before.bytes_copied_user,
+            kWorkers * kRounds * kLen);
+}
+
 TEST(KernelStressTest, FdExhaustionIsGraceful) {
   StressHarness h;
   const uint64_t max_fds = h.k().config().max_fds;

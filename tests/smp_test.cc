@@ -4,6 +4,7 @@
 // racing writer churn — see docs/CONCURRENCY.md §5).
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,6 +144,19 @@ TEST_F(VcpuTest, InterruptContextStackNests) {
   vcpu.PopContext(inner);
   vcpu.PopContext(outer);
   EXPECT_EQ(vcpu.icontext_depth(), 0u);
+}
+
+TEST_F(VcpuTest, ContextIdsAreUniqueAcrossCpus) {
+  VirtualMultiprocessor vmp(machine_.cpu());
+  vmp.Configure(kMaxCpus);
+  // Each CPU draws from its own sequence; the CPU id in the low bits keeps
+  // the ids of different CPUs apart.
+  std::set<uint64_t> seen;
+  for (int round = 0; round < 100; ++round) {
+    for (unsigned id = 0; id < kMaxCpus; ++id) {
+      EXPECT_TRUE(seen.insert(vmp.cpu(id).NextContextId()).second);
+    }
+  }
 }
 
 // Forces the lock-order checker on (or off) for one test and restores the
